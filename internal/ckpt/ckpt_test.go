@@ -1,12 +1,17 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func blob(seed byte, n int) []byte {
@@ -129,8 +134,10 @@ func TestDiskCorruptionDropped(t *testing.T) {
 	var badPath string
 	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err == nil && !info.IsDir() && strings.HasSuffix(path, fileExt) {
-			if _, blob, e := readEnvelope(path); e == nil && blob[0] == 2 {
-				badPath = path
+			if b, e := os.ReadFile(path); e == nil {
+				if _, blob, e := decodeEnvelope(b); e == nil && blob[0] == 2 {
+					badPath = path
+				}
 			}
 		}
 		return nil
@@ -278,4 +285,153 @@ func TestGetZeroCopy(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("memory-tier Get allocates %.1f times", allocs)
 	}
+}
+
+func openDisk(t *testing.T, dir string, maxBytes int64) *Disk {
+	t.Helper()
+	d, err := OpenDisk(dir, maxBytes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
+
+// put persists b under key and waits for the write.
+func put(d *Disk, key string, b []byte) {
+	d.PutAsync(key, func() ([]byte, error) { return b, nil })
+	d.Flush()
+}
+
+// TestSizeBoundEvictsLRU pins eviction order, not just counts: the disk
+// bound drops the least recently used entries, and a Get refreshes
+// recency so a touched entry outlives older untouched ones.
+func TestSizeBoundEvictsLRU(t *testing.T) {
+	per := int64(len(encodeEnvelope("wl0", blob(0, 100))))
+	d := openDisk(t, t.TempDir(), 3*per+per/2)
+	var keys []string
+	for i := 0; i < 5; i++ {
+		k := fmt.Sprintf("wl%d", i)
+		keys = append(keys, k)
+		put(d, k, blob(byte(i), 100))
+	}
+	if got := d.Len(); got != 3 {
+		t.Fatalf("tier holds %d entries, want 3 under the size bound", got)
+	}
+	if c := d.Counters(); c.Evictions != 2 {
+		t.Errorf("evictions = %d, want 2", c.Evictions)
+	}
+	for _, k := range keys[:2] {
+		if d.Contains(k) {
+			t.Errorf("oldest entry %q survived eviction", k)
+		}
+	}
+	for _, k := range keys[2:] {
+		if !d.Contains(k) {
+			t.Errorf("recent entry %q evicted", k)
+		}
+	}
+	// Touching the LRU tail protects it from the next eviction.
+	if _, ok := d.Get(keys[2], nil); !ok {
+		t.Fatal("expected hit")
+	}
+	put(d, "wlx", blob(9, 100))
+	if !d.Contains(keys[2]) {
+		t.Error("recently-used entry evicted ahead of older ones")
+	}
+	if d.Contains(keys[3]) {
+		t.Error("LRU entry survived eviction after a newer entry was touched")
+	}
+}
+
+// TestReopenPreservesRecencyOrder pins the mtime-seeded LRU order: a
+// reopened tier with a tighter bound evicts the oldest entry.
+func TestReopenPreservesRecencyOrder(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir, 0)
+	for i := 0; i < 3; i++ {
+		put(d, fmt.Sprintf("r%d", i), blob(byte(i), 100))
+		// File mtimes seed the reopened LRU order; keep them distinct
+		// even on coarse-mtime filesystems.
+		time.Sleep(5 * time.Millisecond)
+	}
+	per := d.Size() / 3
+	d.Close()
+
+	d2 := openDisk(t, dir, 2*per+per/2)
+	if d2.Len() != 2 {
+		t.Fatalf("reopened bounded tier holds %d entries, want 2", d2.Len())
+	}
+	if d2.Contains("r0") {
+		t.Error("oldest entry survived the reopen bound")
+	}
+	for _, k := range []string{"r1", "r2"} {
+		if !d2.Contains(k) {
+			t.Errorf("recent entry %q lost at reopen", k)
+		}
+	}
+}
+
+// TestVanishedFileIsAMiss: a file deleted behind the index (a racing
+// eviction or an external delete) is a plain miss, not corruption, and
+// the stale index entry no longer blocks a re-put.
+func TestVanishedFileIsAMiss(t *testing.T) {
+	d := openDisk(t, t.TempDir(), 0)
+	put(d, "k", blob(1, 64))
+	if err := os.Remove(d.path("k")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Get("k", nil); ok {
+		t.Fatal("vanished entry served as a hit")
+	}
+	if c := d.Counters(); c.Corrupt != 0 || c.Misses != 1 {
+		t.Errorf("counters = %+v, want 0 corrupt, 1 miss", c)
+	}
+	put(d, "k", blob(1, 64))
+	if _, ok := d.Get("k", nil); !ok {
+		t.Error("re-put after the file vanished missed")
+	}
+}
+
+// TestCodecRejectionIsCorrupt: a payload that passes the envelope check
+// but that the caller's codec rejects is dropped like a corrupt file.
+func TestCodecRejectionIsCorrupt(t *testing.T) {
+	d := openDisk(t, t.TempDir(), 0)
+	put(d, "k", blob(1, 64))
+	if _, ok := d.Get("k", func([]byte) error { return errors.New("undecodable") }); ok {
+		t.Fatal("rejected payload served as a hit")
+	}
+	if c := d.Counters(); c.Corrupt != 1 || c.Misses != 1 || d.Contains("k") {
+		t.Errorf("counters = %+v, contains = %v; want 1 corrupt, 1 miss, entry dropped", c, d.Contains("k"))
+	}
+	if _, err := os.Stat(d.path("k")); !os.IsNotExist(err) {
+		t.Error("rejected entry file not removed")
+	}
+}
+
+// FuzzEnvelope checks the disk envelope decoder on arbitrary bytes: it
+// never panics, and every input it accepts re-encodes to itself. The
+// harness re-stamps the payload checksum so mutations reach the fields
+// behind it.
+func FuzzEnvelope(f *testing.F) {
+	f.Add(encodeEnvelope("mcf@s2+ff4505+dw287#3", blob(1, 64)))
+	f.Add(encodeEnvelope("bfs@s0/rgid-4x64+iv4096", []byte(`{"index":-1,"cycles":1000}`)))
+	f.Add(encodeEnvelope("", nil))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		b := append([]byte(nil), in...)
+		if len(b) >= 12 {
+			if k := 12 + uint64(binary.LittleEndian.Uint32(b[8:])); uint64(len(b)) >= k+16 {
+				h := fnv.New64a()
+				h.Write(b[k+16:])
+				binary.LittleEndian.PutUint64(b[k:], h.Sum64())
+			}
+		}
+		key, payload, err := decodeEnvelope(b)
+		if err != nil {
+			return
+		}
+		if got := encodeEnvelope(key, payload); !bytes.Equal(got, b) {
+			t.Fatalf("accepted envelope does not re-encode to itself:\n in %x\nout %x", b, got)
+		}
+	})
 }

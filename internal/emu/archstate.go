@@ -129,9 +129,32 @@ func verifyState(b []byte) ([]byte, error) {
 	if h.Sum64() != binary.LittleEndian.Uint64(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptState)
 	}
+	if flags := binary.LittleEndian.Uint64(body[24:]); flags&^1 != 0 {
+		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorruptState, flags)
+	}
+	// Bound npages by the bytes present before multiplying, so a hostile
+	// count cannot wrap the length check.
 	npages := binary.LittleEndian.Uint64(body[stateHeaderBytes-8:])
-	if want := stateHeaderBytes + int(npages)*statePageBytes; len(body) != want {
-		return nil, fmt.Errorf("%w: %d pages need %d bytes, have %d", ErrCorruptState, npages, want, len(body))
+	if npages > uint64((len(body)-stateHeaderBytes)/statePageBytes) || len(body) != stateHeaderBytes+int(npages)*statePageBytes {
+		return nil, fmt.Errorf("%w: %d pages do not fit %d payload bytes", ErrCorruptState, npages, len(body)-stateHeaderBytes)
+	}
+	// decodeInto appends pages in order and trusts each live count, so
+	// pages must be strictly ascending and live must be the page's exact
+	// nonzero-word count (the encoder never writes an all-zero page).
+	for k, off := 0, stateHeaderBytes; k < int(npages); k, off = k+1, off+statePageBytes {
+		pn := binary.LittleEndian.Uint64(body[off:])
+		if k > 0 && pn <= binary.LittleEndian.Uint64(body[off-statePageBytes:]) {
+			return nil, fmt.Errorf("%w: page %#x out of order", ErrCorruptState, pn)
+		}
+		nonzero := 0
+		for w := off + 16; w < off+statePageBytes; w += 8 {
+			if binary.LittleEndian.Uint64(body[w:]) != 0 {
+				nonzero++
+			}
+		}
+		if live := binary.LittleEndian.Uint64(body[off+8:]); nonzero == 0 || live != uint64(nonzero) {
+			return nil, fmt.Errorf("%w: page %#x declares %d live words, holds %d", ErrCorruptState, pn, live, nonzero)
+		}
 	}
 	return body, nil
 }

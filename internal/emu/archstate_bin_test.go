@@ -1,7 +1,10 @@
 package emu
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"testing"
 
 	"mssr/internal/randprog"
@@ -67,6 +70,7 @@ func TestArchStateBinaryRejectsCorruption(t *testing.T) {
 	e := New(p)
 	e.FastForward(500, nil)
 	st := e.State()
+	st.Mem.Write(1<<32, 1) // a second page, for the page-order case
 	enc := st.AppendBinary(nil)
 
 	mutate := func(name string, f func(b []byte) []byte) {
@@ -83,6 +87,61 @@ func TestArchStateBinaryRejectsCorruption(t *testing.T) {
 	mutate("flipped register bit", func(b []byte) []byte { b[40] ^= 1; return b })
 	mutate("flipped page word", func(b []byte) []byte { b[len(b)-20] ^= 1; return b })
 	mutate("flipped checksum", func(b []byte) []byte { b[len(b)-1] ^= 1; return b })
+
+	// Structural faults behind a valid checksum.
+	page := func(b []byte, k int) []byte { return b[stateHeaderBytes+k*statePageBytes:] }
+	mutate("page count wraps the length check", func(b []byte) []byte {
+		b = append(b[:stateHeaderBytes], make([]byte, stateSumBytes)...)
+		binary.LittleEndian.PutUint64(b[stateHeaderBytes-8:], 1<<60)
+		return restamp(b)
+	})
+	mutate("pages out of order", func(b []byte) []byte {
+		p0, p1 := binary.LittleEndian.Uint64(page(b, 0)), binary.LittleEndian.Uint64(page(b, 1))
+		binary.LittleEndian.PutUint64(page(b, 0), p1)
+		binary.LittleEndian.PutUint64(page(b, 1), p0)
+		return restamp(b)
+	})
+	mutate("live beyond page size", func(b []byte) []byte {
+		binary.LittleEndian.PutUint64(page(b, 0)[8:], pageWords+1)
+		return restamp(b)
+	})
+	mutate("unknown flag bits", func(b []byte) []byte { b[24] |= 2; return restamp(b) })
+}
+
+// restamp recomputes b's FNV trailer in place, so an edit reaches the
+// checks behind the checksum.
+func restamp(b []byte) []byte {
+	h := fnv.New64a()
+	h.Write(b[:len(b)-stateSumBytes])
+	binary.LittleEndian.PutUint64(b[len(b)-stateSumBytes:], h.Sum64())
+	return b
+}
+
+// FuzzDecodeState checks the ArchState decoder on arbitrary bytes: it
+// never panics, and every input it accepts re-encodes to itself. The
+// harness re-stamps the checksum so mutations reach the structural
+// checks behind it.
+func FuzzDecodeState(f *testing.F) {
+	p := randprog.Generate(3, randprog.DefaultConfig())
+	for _, n := range []uint64{0, 500, 1 << 40} {
+		e := New(p)
+		e.FastForward(n, nil)
+		st := e.State()
+		f.Add(st.AppendBinary(nil))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		b := append([]byte(nil), in...)
+		if len(b) >= stateSumBytes {
+			restamp(b)
+		}
+		var st ArchState
+		if err := DecodeState(b, &st); err != nil {
+			return
+		}
+		if got := st.AppendBinary(nil); !bytes.Equal(got, b) {
+			t.Fatalf("accepted state does not re-encode to itself:\n in %x\nout %x", b, got)
+		}
+	})
 }
 
 // TestRestoreBinarySteadyStateZeroAllocs guards the warm restore path:

@@ -94,7 +94,6 @@ func (h *Hub) Publish(e Event) int {
 	if h.nsubs.Load() == 0 {
 		return 0
 	}
-	e.Seq = h.seq.Add(1)
 	if c := h.Clock; c != nil {
 		e.TimeNS = c()
 	} else {
@@ -102,6 +101,9 @@ func (h *Hub) Publish(e Event) int {
 	}
 	delivered := 0
 	h.mu.Lock()
+	// Stamping under the lock makes every subscriber receive Seq in
+	// increasing order even when publishers race.
+	e.Seq = h.seq.Add(1)
 	for sub := range h.subs {
 		if sub.job != "" && e.Job != "" && e.Job != sub.job {
 			continue

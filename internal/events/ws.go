@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -51,7 +52,11 @@ type WSConn struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	client bool // client side masks outgoing frames
-	wbuf   []byte
+
+	// wmu serializes frame writes: the reader answers pings and close
+	// frames from its own goroutine while the event writer streams.
+	wmu  sync.Mutex
+	wbuf []byte
 }
 
 // Upgrade hijacks an HTTP request into a WebSocket connection,
@@ -161,10 +166,11 @@ func (c *WSConn) SetWriteDeadline(t time.Time) error { return c.conn.SetWriteDea
 func (c *WSConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
 
 // writeFrame assembles one complete frame in c.wbuf and writes it with
-// a single Write call, so concurrent writers cannot interleave frame
-// bytes (callers still serialize frames themselves; the event writer is
-// a single goroutine per connection).
+// a single Write call under wmu, so concurrent writers cannot share the
+// buffer or interleave frame bytes.
 func (c *WSConn) writeFrame(op byte, payload []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	n := len(payload)
 	buf := c.wbuf[:0]
 	buf = append(buf, 0x80|op) // FIN set: no fragmentation

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync/atomic"
 
+	"mssr/internal/ckpt"
 	"mssr/internal/obs"
 )
 
@@ -57,31 +58,19 @@ func (m *metrics) init() {
 	m.version, m.goVersion, m.revision = obs.BuildInfo()
 }
 
-// storeStats is the persistent store's state sampled for one scrape;
-// the zero value (store disabled) still emits every series at zero so
-// dashboards see constant time series either way.
-type storeStats struct {
-	entries                          int
-	bytes                            int64
-	hits, misses, evictions, corrupt uint64
-}
-
-// ckptStats is the checkpoint store's state sampled for one scrape;
-// like storeStats, the zero value still emits every series.
-type ckptStats struct {
-	entries                 int
-	bytes                   int64
-	diskEntries             int
-	diskBytes               int64
-	hits, misses            uint64
-	bytesRead, bytesWritten uint64
-	evictions, corrupt      uint64
+// blobStats is one blob store's state (results or checkpoints) sampled
+// for one scrape; the zero value (store disabled) still emits every
+// series at zero so dashboards see constant time series either way.
+type blobStats struct {
+	entries, diskEntries int
+	bytes, diskBytes     int64
+	ckpt.Counters
 }
 
 // write renders every metric. queueDepth, cacheLen, st, ck, wsDropped
 // and uptimeSec are sampled by the caller (they are gauges owned by
 // other structures).
-func (m *metrics) write(w io.Writer, queueDepth, cacheLen int, st storeStats, ck ckptStats, wsDropped uint64, uptimeSec float64) {
+func (m *metrics) write(w io.Writer, queueDepth, cacheLen int, st, ck blobStats, wsDropped uint64, uptimeSec float64) {
 	emit := func(name, help, typ string, value interface{}) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, value)
 	}
@@ -99,18 +88,18 @@ func (m *metrics) write(w io.Writer, queueDepth, cacheLen int, st storeStats, ck
 	emit("msrd_cache_misses_total", "Specs that missed the result cache.", "counter", m.cacheMisses.Load())
 	emit("msrd_cache_entries", "Results currently cached.", "gauge", cacheLen)
 	emit("msrd_cache_evictions_total", "Results the in-memory LRU bound evicted (written behind to the store when one is configured).", "counter", m.cacheEvictions.Load())
-	emit("msrd_store_hits_total", "Specs served from the persistent content-addressed store.", "counter", st.hits)
-	emit("msrd_store_misses_total", "Persistent-store lookups that missed.", "counter", st.misses)
-	emit("msrd_store_evictions_total", "Results the persistent store's size bound evicted from disk.", "counter", st.evictions)
-	emit("msrd_store_corrupt_total", "Persistent-store entries dropped after failing verification.", "counter", st.corrupt)
+	emit("msrd_store_hits_total", "Specs served from the persistent content-addressed store.", "counter", st.Hits)
+	emit("msrd_store_misses_total", "Persistent-store lookups that missed.", "counter", st.Misses)
+	emit("msrd_store_evictions_total", "Results the persistent store's size bound evicted from disk.", "counter", st.Evictions)
+	emit("msrd_store_corrupt_total", "Persistent-store entries dropped after failing verification.", "counter", st.Corrupt)
 	emit("msrd_store_entries", "Results currently persisted on disk.", "gauge", st.entries)
 	emit("msrd_store_bytes", "Total bytes of persisted result files.", "gauge", st.bytes)
-	emit("msrd_ckpt_hits_total", "Architectural boundary states restored from the checkpoint store.", "counter", ck.hits)
-	emit("msrd_ckpt_misses_total", "Checkpoint lookups that missed and fell back to functional emulation.", "counter", ck.misses)
-	emit("msrd_ckpt_evictions_total", "Checkpoints the store's size bounds evicted.", "counter", ck.evictions)
-	emit("msrd_ckpt_corrupt_total", "Persisted checkpoints dropped after failing verification.", "counter", ck.corrupt)
-	emit("msrd_ckpt_bytes_read_total", "Bytes of checkpoint state served to restores.", "counter", ck.bytesRead)
-	emit("msrd_ckpt_bytes_written_total", "Bytes of checkpoint state captured into the store.", "counter", ck.bytesWritten)
+	emit("msrd_ckpt_hits_total", "Architectural boundary states restored from the checkpoint store.", "counter", ck.Hits)
+	emit("msrd_ckpt_misses_total", "Checkpoint lookups that missed and fell back to functional emulation.", "counter", ck.Misses)
+	emit("msrd_ckpt_evictions_total", "Checkpoints the store's size bounds evicted.", "counter", ck.Evictions)
+	emit("msrd_ckpt_corrupt_total", "Persisted checkpoints dropped after failing verification.", "counter", ck.Corrupt)
+	emit("msrd_ckpt_bytes_read_total", "Bytes of checkpoint state served to restores.", "counter", ck.BytesRead)
+	emit("msrd_ckpt_bytes_written_total", "Bytes of checkpoint state captured into the store.", "counter", ck.BytesWritten)
 	emit("msrd_ckpt_entries", "Checkpoints currently held in memory.", "gauge", ck.entries)
 	emit("msrd_ckpt_bytes", "Total bytes of in-memory checkpoint state.", "gauge", ck.bytes)
 	emit("msrd_ckpt_disk_entries", "Checkpoints currently persisted on disk.", "gauge", ck.diskEntries)

@@ -846,33 +846,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var st storeStats
+	var st, ck blobStats
 	if s.cfg.Store != nil {
-		c := s.cfg.Store.Counters()
-		st = storeStats{
-			entries:   s.cfg.Store.Len(),
-			bytes:     s.cfg.Store.Size(),
-			hits:      c.Hits,
-			misses:    c.Misses,
-			evictions: c.Evictions,
-			corrupt:   c.Corrupt,
-		}
+		st = blobStats{entries: s.cfg.Store.Len(), bytes: s.cfg.Store.Size(), Counters: s.cfg.Store.Counters()}
 	}
-	var ck ckptStats
-	if s.cfg.Checkpoints != nil {
-		c := s.cfg.Checkpoints.Counters()
-		ck = ckptStats{
-			entries:      s.cfg.Checkpoints.Len(),
-			bytes:        s.cfg.Checkpoints.Size(),
-			diskEntries:  s.cfg.Checkpoints.DiskLen(),
-			diskBytes:    s.cfg.Checkpoints.DiskSize(),
-			hits:         c.Hits,
-			misses:       c.Misses,
-			bytesRead:    c.BytesRead,
-			bytesWritten: c.BytesWritten,
-			evictions:    c.Evictions,
-			corrupt:      c.Corrupt,
-		}
+	if c := s.cfg.Checkpoints; c != nil {
+		ck = blobStats{entries: c.Len(), bytes: c.Size(), diskEntries: c.DiskLen(), diskBytes: c.DiskSize(), Counters: c.Counters()}
 	}
 	s.metrics.write(w, len(s.queue), s.cache.len(), st, ck, s.hub.Dropped(), time.Since(s.started).Seconds())
 }

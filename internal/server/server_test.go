@@ -238,6 +238,24 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsNonPowerOfTwoSets pins admission of set-indexed
+// engine geometry: a set count the tables cannot mask is a 400 at
+// submit, not a simulation that panics after admission.
+func TestSubmitRejectsNonPowerOfTwoSets(t *testing.T) {
+	_, ts, _ := newTestDaemon(t, server.Config{})
+	for _, engine := range []string{"ri", "dir-value", "dir-name"} {
+		body := `{"specs":[{"workload":"pr","scale":0,"engine":"` + engine + `","sets":48,"ways":4}]}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with 48 sets: status = %d, want 400", engine, resp.StatusCode)
+		}
+	}
+}
+
 func TestCacheHitAccounting(t *testing.T) {
 	ctx := context.Background()
 	_, _, c := newTestDaemon(t, server.Config{})

@@ -295,6 +295,13 @@ func (s *Spec) Validate() error {
 			errs = append(errs, fmt.Errorf("negative %s %d", g.name, g.v))
 		}
 	}
+	// The set-associative tables index by masking, so their constructors
+	// reject a set count that is not a power of two.
+	if s.Engine == EngineRI || s.Engine == EngineDIRValue || s.Engine == EngineDIRName {
+		if s.Sets > 0 && s.Sets&(s.Sets-1) != 0 {
+			errs = append(errs, fmt.Errorf("sets %d is not a power of two", s.Sets))
+		}
+	}
 	if _, ok := s.Loads.reuse(); !ok && s.Loads != LoadDefault {
 		errs = append(errs, fmt.Errorf("unknown load policy %d", int(s.Loads)))
 	}

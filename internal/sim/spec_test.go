@@ -52,6 +52,9 @@ func TestSpecValidate(t *testing.T) {
 		{"periods without window", Spec{Workload: "bfs", FastForward: 1000, SamplePeriods: 4}},
 		{"negative sample periods", Spec{Workload: "bfs", FastForward: 1000, DetailedWindow: 100, SamplePeriods: -1}},
 		{"warm without fast-forward", Spec{Workload: "bfs", Warm: true}},
+		{"ri sets not a power of two", Spec{Workload: "bfs", Engine: EngineRI, Sets: 48}},
+		{"dir-value sets not a power of two", Spec{Workload: "bfs", Engine: EngineDIRValue, Sets: 3}},
+		{"dir-name sets not a power of two", Spec{Workload: "bfs", Engine: EngineDIRName, Sets: 96}},
 	}
 	for _, c := range bad {
 		if err := c.spec.Validate(); err == nil {
@@ -65,6 +68,9 @@ func TestSpecValidate(t *testing.T) {
 		{Workload: "bfs", FastForward: 1000}, // exact skip-then-detail
 		{Workload: "bfs", FastForward: 1000, DetailedWindow: 100, SamplePeriods: 8, Warm: true},
 		{Workload: "bfs", FastForward: 1000, SamplePeriods: 1}, // 1 == the default single period
+		{Workload: "bfs", Engine: EngineRI, Sets: 64, Ways: 4},
+		{Workload: "bfs", Engine: EngineDIRValue, Sets: 0}, // 0 == the default geometry
+		{Workload: "bfs", Engine: EngineRGID, Sets: 48},    // RGID has no set-indexed table
 	}
 	for i, s := range good {
 		if err := s.Validate(); err != nil {

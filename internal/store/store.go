@@ -3,454 +3,74 @@
 // to its completed wire result, so warm-sweep speedups survive daemon
 // restarts and cached simulations become durable, shareable artifacts.
 //
-// Layout: each result lives in its own file under a two-level fanout of
-// the key's SHA-256 — dir/ab/cd/abcdef….json — written as a temp file in
-// the same directory and atomically renamed into place, so readers never
-// observe a partial write and a crash leaves at worst an orphaned temp
-// file (removed at the next Open). The file is a self-describing
-// envelope carrying the canonical key and a SHA-256 of the result bytes;
-// reads verify both, and any mismatch, decode failure or truncation is
-// treated as a miss: the corrupt entry is counted, logged at warn with
-// the offending key, and deleted so it cannot fail again.
-//
-// The store is LRU-bounded by total bytes on disk. Recency is tracked in
-// memory and persisted best-effort through file mtimes, which also seed
-// the LRU order when Open rebuilds the index from the fanout tree.
-// PutAsync is the write-behind path the serving layer's in-memory cache
-// drains into: writes are queued to a single writer goroutine and never
-// block the request path; a full queue drops the write (counted) rather
-// than stalling a simulation result.
+// It is a JSON codec over internal/ckpt's disk tier, which owns the
+// layout, the checksummed envelope, the size-bounded LRU that survives
+// restarts, corruption handling and the write-behind writer. There is
+// no memory tier here: the serving layer's decoded result cache is one.
 package store
 
 import (
-	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"io"
-	"io/fs"
 	"log/slog"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"mssr/internal/api"
+	"mssr/internal/ckpt"
 )
 
-// envelope is the on-disk file format: the result bytes plus enough
-// self-description to detect corruption and rebuild the index without an
-// external manifest.
-type envelope struct {
-	// Version guards the format; readers reject versions they don't know.
-	Version int `json:"version"`
-	// Key is the canonical content key the result is stored under.
-	Key string `json:"key"`
-	// Sum is the hex SHA-256 of the raw Result bytes.
-	Sum string `json:"sha256"`
-	// Result is the stored wire result, kept raw so the checksum covers
-	// exactly the bytes that were written.
-	Result json.RawMessage `json:"result"`
-}
-
-const (
-	envelopeVersion = 1
-	fileExt         = ".json"
-	tmpPattern      = "put-*.tmp"
-)
-
-// Counters is a snapshot of the store's activity counters.
-type Counters struct {
-	// Hits and Misses count Get outcomes (a corrupt read counts as both
-	// a miss and a corruption).
-	Hits, Misses uint64
-	// Evictions counts entries removed by the size bound.
-	Evictions uint64
-	// Corrupt counts entries dropped because their file failed
-	// verification (at Open or at read time).
-	Corrupt uint64
-	// Dropped counts PutAsync writes discarded because the write-behind
-	// queue was full.
-	Dropped uint64
-	// WriteErrors counts Put failures (disk full, permissions).
-	WriteErrors uint64
-}
-
-type entry struct {
-	key  string
-	size int64
-}
+// Counters is a snapshot of the store's activity counters. A result
+// that verifies on disk but does not decode counts as both a miss and a
+// corruption.
+type Counters = ckpt.Counters
 
 // Store is a disk-backed content-addressed result store. All methods are
 // safe for concurrent use.
 type Store struct {
-	dir      string
-	maxBytes int64
-	log      *slog.Logger
-
-	mu      sync.Mutex
-	order   *list.List // front = most recently used; values are *entry
-	entries map[string]*list.Element
-	size    int64
-
-	hits, misses, evictions, corrupt atomic.Uint64
-	dropped, writeErrors             atomic.Uint64
-
-	// qmu serializes write-queue sends against Close, so PutAsync and
-	// Flush are safe (and no-ops) on a closed store.
-	qmu       sync.Mutex
-	qclosed   bool
-	wq        chan writeReq
-	writerWG  sync.WaitGroup
-	closeOnce sync.Once
-}
-
-type writeReq struct {
-	key   string
-	res   api.Result
-	flush chan struct{} // non-nil: a flush barrier, not a write
+	disk *ckpt.Disk
 }
 
 // Open loads (or creates) a store rooted at dir, bounded to maxBytes of
-// result files on disk (<= 0 = unbounded). The index is rebuilt by
-// walking the fanout tree: files that fail verification are counted as
-// corrupt and removed, stale temp files from interrupted writes are
-// cleaned up, and the LRU order is seeded from file mtimes.
+// result files on disk (<= 0 = unbounded). See ckpt.OpenDisk for how the
+// index is rebuilt and what is cleaned up.
 func Open(dir string, maxBytes int64, logger *slog.Logger) (*Store, error) {
-	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{
-		dir:      dir,
-		maxBytes: maxBytes,
-		log:      logger,
-		order:    list.New(),
-		entries:  make(map[string]*list.Element),
-		wq:       make(chan writeReq, 256),
-	}
-	if err := s.load(); err != nil {
+	d, err := ckpt.OpenDisk(dir, maxBytes, logger)
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.enforceBoundLocked(nil)
-	s.mu.Unlock()
-	s.writerWG.Add(1)
-	go s.writer()
-	return s, nil
-}
-
-// load walks the fanout tree and rebuilds the in-memory index.
-func (s *Store) load() error {
-	type found struct {
-		e     entry
-		mtime int64
-	}
-	var all []found
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		if strings.HasSuffix(path, ".tmp") {
-			// Leftover from an interrupted write; the rename never
-			// happened, so nothing references it.
-			_ = os.Remove(path)
-			return nil
-		}
-		if !strings.HasSuffix(path, fileExt) {
-			return nil
-		}
-		env, raw, verr := readEnvelope(path)
-		if verr != nil || s.path(env.Key) != path {
-			s.corrupt.Add(1)
-			s.log.Warn("store: dropping corrupt entry", "path", path, "key", env.Key, "error", fmt.Sprint(verr))
-			_ = os.Remove(path)
-			return nil
-		}
-		info, ierr := d.Info()
-		var mtime int64
-		if ierr == nil {
-			mtime = info.ModTime().UnixNano()
-		}
-		all = append(all, found{entry{key: env.Key, size: int64(len(raw))}, mtime})
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("store: indexing %s: %w", s.dir, err)
-	}
-	// Oldest first, so the most recently written entries end up at the
-	// front of the LRU order.
-	sort.Slice(all, func(i, j int) bool { return all[i].mtime < all[j].mtime })
-	for i := range all {
-		e := all[i].e
-		s.entries[e.key] = s.order.PushFront(&entry{key: e.key, size: e.size})
-		s.size += e.size
-	}
-	return nil
-}
-
-// path maps a canonical key onto its fanout file path.
-func (s *Store) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	h := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, h[:2], h[2:4], h+fileExt)
-}
-
-// readEnvelope reads and verifies one entry file: decodable envelope,
-// known version, and a result checksum that matches.
-func readEnvelope(path string) (envelope, []byte, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return envelope{}, nil, err
-	}
-	var env envelope
-	if err := json.Unmarshal(b, &env); err != nil {
-		return envelope{}, nil, fmt.Errorf("decoding envelope: %w", err)
-	}
-	if env.Version != envelopeVersion {
-		return env, nil, fmt.Errorf("unknown envelope version %d", env.Version)
-	}
-	if env.Key == "" || len(env.Result) == 0 {
-		return env, nil, fmt.Errorf("incomplete envelope")
-	}
-	sum := sha256.Sum256(env.Result)
-	if hex.EncodeToString(sum[:]) != env.Sum {
-		return env, nil, fmt.Errorf("result checksum mismatch")
-	}
-	return env, b, nil
+	return &Store{disk: d}, nil
 }
 
 // Get returns the stored result for the canonical key. A verification
-// failure is treated as a miss: counted as corrupt, logged at warn with
-// the offending key, and the entry removed.
+// or decode failure is treated as a miss: counted as corrupt, logged at
+// warn with the offending key, and the entry removed.
 func (s *Store) Get(key string) (api.Result, bool) {
-	s.mu.Lock()
-	el, ok := s.entries[key]
-	if !ok {
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return api.Result{}, false
-	}
-	path := s.path(key)
-	env, _, err := readEnvelope(path)
-	if err == nil && env.Key != key {
-		err = fmt.Errorf("envelope key %q does not match requested key", env.Key)
-	}
 	var res api.Result
-	if err == nil {
-		err = json.Unmarshal(env.Result, &res)
-	}
-	if err != nil {
-		s.removeLocked(el)
-		s.mu.Unlock()
-		_ = os.Remove(path)
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		s.log.Warn("store: corrupt entry read", "key", key, "error", err.Error())
+	if _, ok := s.disk.Get(key, func(b []byte) error { return json.Unmarshal(b, &res) }); !ok {
 		return api.Result{}, false
 	}
-	s.order.MoveToFront(el)
-	s.mu.Unlock()
-	s.hits.Add(1)
-	// Persist the recency so a restart's mtime-seeded LRU order stays
-	// close to the live one. Best-effort: a failure only skews eviction.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
 	return res, true
 }
 
-// Contains reports whether the key is present without touching recency.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
-}
-
-// Put durably stores a result under its canonical key, evicting
-// least-recently-used entries if the size bound is exceeded.
-func (s *Store) Put(key string, res api.Result) error {
-	raw, err := json.Marshal(res)
-	if err != nil {
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: encoding result for %q: %w", key, err)
-	}
-	sum := sha256.Sum256(raw)
-	env := envelope{
-		Version: envelopeVersion,
-		Key:     key,
-		Sum:     hex.EncodeToString(sum[:]),
-		Result:  raw,
-	}
-	b, err := json.Marshal(env)
-	if err != nil {
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: encoding envelope for %q: %w", key, err)
-	}
-	path := s.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
-	// Write-temp-then-rename in the destination directory keeps the
-	// replacement atomic on POSIX filesystems.
-	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPattern)
-	if err != nil {
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		_ = os.Remove(tmp.Name())
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: writing %q: %w", key, err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: writing %q: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name())
-		s.writeErrors.Add(1)
-		return fmt.Errorf("store: installing %q: %w", key, err)
-	}
-
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		e := el.Value.(*entry)
-		s.size += int64(len(b)) - e.size
-		e.size = int64(len(b))
-		s.order.MoveToFront(el)
-	} else {
-		s.entries[key] = s.order.PushFront(&entry{key: key, size: int64(len(b))})
-		s.size += int64(len(b))
-	}
-	s.enforceBoundLocked(s.entries[key])
-	s.mu.Unlock()
-	return nil
-}
-
-// enforceBoundLocked evicts least-recently-used entries until the size
-// bound holds, never evicting keep (the entry just inserted).
-func (s *Store) enforceBoundLocked(keep *list.Element) {
-	if s.maxBytes <= 0 {
-		return
-	}
-	for s.size > s.maxBytes && s.order.Len() > 0 {
-		oldest := s.order.Back()
-		if oldest == keep {
-			break
-		}
-		e := oldest.Value.(*entry)
-		s.removeLocked(oldest)
-		_ = os.Remove(s.path(e.key))
-		s.evictions.Add(1)
-	}
-}
-
-// removeLocked drops one entry from the index (not the file).
-func (s *Store) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	s.order.Remove(el)
-	delete(s.entries, e.key)
-	s.size -= e.size
-}
-
-// PutAsync queues a write-behind store of the result. Results already on
-// disk are skipped (a key's result is deterministic, so rewriting is
-// pointless); a full queue drops the write and counts it rather than
-// blocking the caller.
+// PutAsync queues a write-behind store of the result; it is encoded on
+// the writer goroutine. Results already on disk are skipped (a key's
+// result is deterministic, so rewriting is pointless); a full queue
+// drops the write and counts it rather than blocking the caller.
 func (s *Store) PutAsync(key string, res api.Result) {
-	if s.Contains(key) {
-		return
-	}
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if s.qclosed {
-		s.dropped.Add(1)
-		return
-	}
-	select {
-	case s.wq <- writeReq{key: key, res: res}:
-	default:
-		s.dropped.Add(1)
-	}
-}
-
-// writer is the single write-behind goroutine: it drains PutAsync
-// requests and flush barriers until Close.
-func (s *Store) writer() {
-	defer s.writerWG.Done()
-	for req := range s.wq {
-		if req.flush != nil {
-			close(req.flush)
-			continue
-		}
-		if err := s.Put(req.key, req.res); err != nil {
-			s.log.Warn("store: write-behind failed", "key", req.key, "error", err.Error())
-		}
-	}
+	s.disk.PutAsync(key, func() ([]byte, error) { return json.Marshal(res) })
 }
 
 // Flush blocks until every PutAsync accepted before the call has been
 // written. A no-op on a closed store (Close already flushed).
-func (s *Store) Flush() {
-	done := make(chan struct{})
-	s.qmu.Lock()
-	if s.qclosed {
-		s.qmu.Unlock()
-		return
-	}
-	s.wq <- writeReq{flush: done}
-	s.qmu.Unlock()
-	<-done
-}
+func (s *Store) Flush() { s.disk.Flush() }
 
 // Close flushes the write-behind queue and stops the writer. Further
 // PutAsync/Flush calls are no-ops.
-func (s *Store) Close() {
-	s.closeOnce.Do(func() {
-		s.Flush()
-		s.qmu.Lock()
-		s.qclosed = true
-		close(s.wq)
-		s.qmu.Unlock()
-		s.writerWG.Wait()
-	})
-}
+func (s *Store) Close() { s.disk.Close() }
 
 // Len returns the number of stored results.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
-}
+func (s *Store) Len() int { return s.disk.Len() }
 
 // Size returns the total bytes of stored result files.
-func (s *Store) Size() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
+func (s *Store) Size() int64 { return s.disk.Size() }
 
 // Counters snapshots the activity counters.
-func (s *Store) Counters() Counters {
-	return Counters{
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Evictions:   s.evictions.Load(),
-		Corrupt:     s.corrupt.Load(),
-		Dropped:     s.dropped.Load(),
-		WriteErrors: s.writeErrors.Load(),
-	}
-}
+func (s *Store) Counters() Counters { return s.disk.Counters() }

