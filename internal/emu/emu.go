@@ -22,6 +22,11 @@ type Emulator struct {
 	Halted bool
 	// Retired counts architecturally executed instructions.
 	Retired uint64
+
+	// info is the StepInfo the interpreter loop records into for Step
+	// and hooked FastForward. It is a field so that the pointer handed
+	// to a hook does not make each call allocate.
+	info StepInfo
 }
 
 // New returns an emulator with the program's data segments loaded and the
@@ -56,98 +61,21 @@ type StepInfo struct {
 // Step executes the instruction at the current PC. Calling Step on a halted
 // emulator is a no-op that returns the final state of the HALT.
 func (e *Emulator) Step() StepInfo {
-	var info StepInfo
-	e.stepInto(&info)
-	return info
-}
-
-// stepInto is Step writing its record through a caller-owned pointer, so a
-// hot loop (FastForward with a warming hook) reuses one StepInfo instead of
-// copying the ~80-byte struct twice per instruction.
-func (e *Emulator) stepInto(info *StepInfo) {
 	if e.Halted {
-		*info = StepInfo{PC: e.PC, Instr: isa.Instruction{Op: isa.HALT}, NextPC: e.PC}
-		return
+		return StepInfo{PC: e.PC, Instr: isa.Instruction{Op: isa.HALT}, NextPC: e.PC}
 	}
-	in := e.Prog.MustAt(e.PC)
-	var rs1v, rs2v uint64
-	// Sources occupy Rs1 first (isa.Instruction.Src); reading the fields
-	// directly keeps the per-instruction cost a pair of loads.
-	switch in.NumSources() {
-	case 2:
-		rs2v = e.Regs[in.Rs2]
-		fallthrough
-	case 1:
-		rs1v = e.Regs[in.Rs1]
-	}
-	out := isa.Evaluate(in, e.PC, rs1v, rs2v)
-	switch {
-	case in.IsLoad():
-		out.Result = e.Mem.Read(out.MemAddr)
-	case in.IsStore():
-		e.Mem.Write(out.MemAddr, out.Result)
-	}
-	if in.HasDest() {
-		e.Regs[in.Rd] = out.Result
-	}
-	info.PC, info.Instr, info.Outcome = e.PC, in, out
-	switch {
-	case out.Halt:
-		e.Halted = true
-		info.NextPC = e.PC
-	case out.Taken:
-		e.PC = out.Target
-		info.NextPC = out.Target
-	default:
-		e.PC += isa.InstrBytes
-		info.NextPC = e.PC
-	}
-	e.Retired++
-}
-
-// step is Step without the StepInfo: the fast path for Run and hook-free
-// FastForward, where the caller discards the per-instruction record and
-// materializing the ~80-byte struct is pure copy cost. It must stay
-// semantically identical to Step.
-func (e *Emulator) step() {
-	in := e.Prog.MustAt(e.PC)
-	var rs1v, rs2v uint64
-	switch in.NumSources() {
-	case 2:
-		rs2v = e.Regs[in.Rs2]
-		fallthrough
-	case 1:
-		rs1v = e.Regs[in.Rs1]
-	}
-	out := isa.Evaluate(in, e.PC, rs1v, rs2v)
-	switch {
-	case in.IsLoad():
-		out.Result = e.Mem.Read(out.MemAddr)
-	case in.IsStore():
-		e.Mem.Write(out.MemAddr, out.Result)
-	}
-	if in.HasDest() {
-		e.Regs[in.Rd] = out.Result
-	}
-	switch {
-	case out.Halt:
-		e.Halted = true
-	case out.Taken:
-		e.PC = out.Target
-	default:
-		e.PC += isa.InstrBytes
-	}
-	e.Retired++
+	e.exec(1, nil, true)
+	return e.info
 }
 
 // Run executes until HALT or until maxInstrs instructions have retired,
 // returning ErrInstructionLimit in the latter case.
 func (e *Emulator) Run(maxInstrs uint64) error {
-	for !e.Halted {
-		if e.Retired >= maxInstrs {
-			return fmt.Errorf("%w (%d instructions, PC=0x%x)", ErrInstructionLimit, maxInstrs, e.PC)
-		}
-		e.step()
+	if e.Retired < maxInstrs {
+		e.exec(maxInstrs-e.Retired, nil, false)
+	}
+	if !e.Halted {
+		return fmt.Errorf("%w (%d instructions, PC=0x%x)", ErrInstructionLimit, maxInstrs, e.PC)
 	}
 	return nil
 }
@@ -187,24 +115,205 @@ func (e *Emulator) SetState(st *ArchState) {
 // (when non-nil) after each one — the seam used for cache and
 // branch-predictor warming during functional skip. The StepInfo the hook
 // receives is only valid for the duration of the call; a hook that keeps
-// it must copy. FastForward returns the number actually retired, which is
-// less than n only if the program halts first.
+// it must copy, and a hook must not modify the emulator. FastForward
+// returns the number actually retired, which is less than n only if the
+// program halts first.
 func (e *Emulator) FastForward(n uint64, hook func(*StepInfo)) uint64 {
-	var done uint64
-	if hook == nil {
-		for done < n && !e.Halted {
-			e.step()
-			done++
+	return e.exec(n, hook, hook != nil)
+}
+
+// exec is the emulator's one interpreter loop, behind Run, Step and
+// FastForward: it retires up to n instructions (fewer only if HALT
+// retires first) and returns how many it retired. It indexes the
+// program's predecoded instructions directly, keeps the PC and retire
+// count in locals until it returns, and evaluates every opcode inline
+// in one switch that writes the destination register, memory and next
+// PC itself. With record set it also fills e.info for each instruction,
+// and a non-nil hook (which requires record) is then called with it,
+// e.PC, e.Retired and e.Halted already current; a hook must not modify
+// the emulator. FuzzStepMatchesEvaluate checks the switch against
+// isa.Evaluate, the definition the timing core executes.
+func (e *Emulator) exec(n uint64, hook func(*StepInfo), record bool) uint64 {
+	if e.Halted {
+		return 0
+	}
+	code, base := e.Prog.Code, e.Prog.Base
+	pc, start := e.PC, e.Retired
+	retired, end := start, start+n
+	if end < start {
+		end = ^uint64(0) // n runs past the counter's range: no limit
+	}
+	const regMask = isa.NumArchRegs - 1
+	for retired < end {
+		off := pc - base
+		if off/isa.InstrBytes >= uint64(len(code)) || off%isa.InstrBytes != 0 {
+			e.PC, e.Retired = pc, retired
+			// MustAt panics, naming the program's bounds. The explicit
+			// panic after it tells the compiler this path never rejoins
+			// the loop, which saves the hot path some register spills.
+			e.Prog.MustAt(pc)
+			panic("unreachable")
 		}
-		return done
+		in := &code[off/isa.InstrBytes]
+		// Both source fields are read for every opcode (masked, so an
+		// unused field cannot fault); each case uses only its own.
+		a, b := e.Regs[in.Rs1&regMask], e.Regs[in.Rs2&regMask]
+		next := pc + isa.InstrBytes
+		taken := false
+		var addr, stored uint64 // a load or store's address, a store's value
+		switch in.Op {
+		case isa.NOP:
+		case isa.ADD:
+			e.Regs[in.Rd] = a + b
+		case isa.SUB:
+			e.Regs[in.Rd] = a - b
+		case isa.AND:
+			e.Regs[in.Rd] = a & b
+		case isa.OR:
+			e.Regs[in.Rd] = a | b
+		case isa.XOR:
+			e.Regs[in.Rd] = a ^ b
+		case isa.SLL:
+			e.Regs[in.Rd] = a << (b & 63)
+		case isa.SRL:
+			e.Regs[in.Rd] = a >> (b & 63)
+		case isa.SRA:
+			e.Regs[in.Rd] = uint64(int64(a) >> (b & 63))
+		case isa.SLT:
+			e.Regs[in.Rd] = b2u(int64(a) < int64(b))
+		case isa.SLTU:
+			e.Regs[in.Rd] = b2u(a < b)
+		case isa.MUL:
+			e.Regs[in.Rd] = a * b
+		case isa.DIV:
+			switch {
+			case b == 0:
+				e.Regs[in.Rd] = ^uint64(0)
+			case int64(a) == -1<<63 && int64(b) == -1:
+				e.Regs[in.Rd] = a
+			default:
+				e.Regs[in.Rd] = uint64(int64(a) / int64(b))
+			}
+		case isa.REM:
+			switch {
+			case b == 0:
+				e.Regs[in.Rd] = a
+			case int64(a) == -1<<63 && int64(b) == -1:
+				e.Regs[in.Rd] = 0
+			default:
+				e.Regs[in.Rd] = uint64(int64(a) % int64(b))
+			}
+		case isa.MIN:
+			m := a
+			if int64(b) < int64(a) {
+				m = b
+			}
+			e.Regs[in.Rd] = m
+		case isa.MAX:
+			m := a
+			if int64(b) > int64(a) {
+				m = b
+			}
+			e.Regs[in.Rd] = m
+		case isa.ADDI:
+			e.Regs[in.Rd] = a + uint64(in.Imm)
+		case isa.ANDI:
+			e.Regs[in.Rd] = a & uint64(in.Imm)
+		case isa.ORI:
+			e.Regs[in.Rd] = a | uint64(in.Imm)
+		case isa.XORI:
+			e.Regs[in.Rd] = a ^ uint64(in.Imm)
+		case isa.SLLI:
+			e.Regs[in.Rd] = a << (uint64(in.Imm) & 63)
+		case isa.SRLI:
+			e.Regs[in.Rd] = a >> (uint64(in.Imm) & 63)
+		case isa.SRAI:
+			e.Regs[in.Rd] = uint64(int64(a) >> (uint64(in.Imm) & 63))
+		case isa.SLTI:
+			e.Regs[in.Rd] = b2u(int64(a) < in.Imm)
+		case isa.LI:
+			e.Regs[in.Rd] = uint64(in.Imm)
+		case isa.LD:
+			addr = a + uint64(in.Imm)
+			e.Regs[in.Rd] = e.Mem.Read(addr)
+		case isa.ST:
+			addr, stored = a+uint64(in.Imm), b
+			e.Mem.Write(addr, stored)
+		case isa.BEQ:
+			if a == b {
+				next, taken = in.Target, true
+			}
+		case isa.BNE:
+			if a != b {
+				next, taken = in.Target, true
+			}
+		case isa.BLT:
+			if int64(a) < int64(b) {
+				next, taken = in.Target, true
+			}
+		case isa.BGE:
+			if int64(a) >= int64(b) {
+				next, taken = in.Target, true
+			}
+		case isa.BLTU:
+			if a < b {
+				next, taken = in.Target, true
+			}
+		case isa.BGEU:
+			if a >= b {
+				next, taken = in.Target, true
+			}
+		case isa.JAL:
+			e.Regs[in.Rd] = next
+			next, taken = in.Target, true
+		case isa.JALR:
+			e.Regs[in.Rd] = next
+			next = (a + uint64(in.Imm)) &^ (isa.InstrBytes - 1)
+		case isa.HALT:
+			next, end = pc, retired+1
+			e.Halted = true
+		default:
+			e.PC, e.Retired = pc, retired
+			panic(fmt.Sprintf("emu: cannot execute %v at 0x%x", in.Op, pc))
+		}
+		retired++
+		if record {
+			// The Outcome isa.Evaluate defines, with a load's Result
+			// being the loaded word; Regs[Rd] is read before x0 is
+			// restored, so it holds what an x0-writing op computed.
+			// Field-by-field stores: a composite literal would be built
+			// on the stack and block-copied on every hooked step.
+			info := &e.info
+			info.PC, info.Instr, info.NextPC = pc, *in, next
+			out := &info.Outcome
+			out.Taken, out.Halt = taken || in.Op == isa.JALR, in.Op == isa.HALT
+			out.Target = 0
+			if out.Taken {
+				out.Target = next
+			}
+			out.MemAddr, out.Result = addr, stored
+			switch in.Class() {
+			case isa.ClassStore, isa.ClassBranch, isa.ClassHalt, isa.ClassNop:
+			default:
+				out.Result = e.Regs[in.Rd]
+			}
+		}
+		e.Regs[isa.Zero] = 0 // undo any write to the zero register
+		pc = next
+		if hook != nil {
+			e.PC, e.Retired = pc, retired
+			hook(&e.info)
+		}
 	}
-	var info StepInfo
-	for done < n && !e.Halted {
-		e.stepInto(&info)
-		hook(&info)
-		done++
+	e.PC, e.Retired = pc, retired
+	return retired - start
+}
+
+func b2u(c bool) uint64 {
+	if c {
+		return 1
 	}
-	return done
+	return 0
 }
 
 // Result is the final architectural state in comparable form.

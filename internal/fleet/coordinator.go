@@ -583,6 +583,7 @@ func (c *Coordinator) completeUnit(u *unit, r api.Result, workerAddr string) {
 	c.mu.Lock()
 	c.pending--
 	c.mu.Unlock()
+	u.job.announce.Lock()
 	first, jobDone := u.job.complete(u.idx, r)
 	if first {
 		c.hub.Publish(events.Event{
@@ -593,6 +594,7 @@ func (c *Coordinator) completeUnit(u *unit, r api.Result, workerAddr string) {
 			Error: r.Error,
 		})
 	}
+	u.job.announce.Unlock()
 	if jobDone {
 		if u.job.failed() {
 			c.met.jobsFailed.Add(1)

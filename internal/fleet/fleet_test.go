@@ -47,7 +47,8 @@ func (b *countingBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Resu
 
 // gatedBackend blocks every Run until released, closing started on the
 // first call — the hook the worker-failure test uses to kill a worker
-// that is provably mid-simulation.
+// that is provably mid-simulation, and the stealing test's way of
+// holding each worker's shard until it decides which one is slow.
 type gatedBackend struct {
 	started chan struct{}
 	release chan struct{}
@@ -62,20 +63,6 @@ func (b *gatedBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result,
 	b.once.Do(func() { close(b.started) })
 	select {
 	case <-b.release:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return (&sim.Runner{}).Run(ctx, specs)
-}
-
-// slowBackend delays every Run — a hot shard for the stealing test.
-type slowBackend struct {
-	delay time.Duration
-}
-
-func (b *slowBackend) Run(ctx context.Context, specs []sim.Spec) ([]sim.Result, error) {
-	select {
-	case <-time.After(b.delay):
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -333,7 +320,13 @@ func TestFleetWorkerFailureMidSweep(t *testing.T) {
 
 // TestFleetWorkSteal pins the stealing path: a slow worker's shard
 // backlog is drained by the idle fast worker instead of serializing the
-// sweep behind the hot shard.
+// sweep behind the hot shard. Both workers start out holding their
+// first unit. The one with the larger shard (at least half the specs,
+// however the ring splits them) becomes the slow worker: it keeps
+// holding until the fast worker's own shard has drained and the slow
+// backlog is below the two units a steal needs. While it holds, that
+// backlog can only shrink by stealing, so a steal is guaranteed, not
+// raced.
 func TestFleetWorkSteal(t *testing.T) {
 	var specs []api.Spec
 	for _, wl := range []string{"nested-mispred", "bfs", "mcf", "pr"} {
@@ -342,11 +335,53 @@ func TestFleetWorkSteal(t *testing.T) {
 		}
 	}
 
-	addrA, _ := newWorker(t, server.Config{})
-	addrB, _ := newWorker(t, server.Config{Backend: &slowBackend{delay: 150 * time.Millisecond}, Workers: 1})
-	_, fc := newFleet(t, fleet.Config{Workers: []string{addrA, addrB}, ChunkSize: 1})
+	gates := map[string]*gatedBackend{}
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		g := newGatedBackend()
+		addr, _ := newWorker(t, server.Config{Backend: g, Workers: 1})
+		gates[addr] = g
+		addrs = append(addrs, addr)
+	}
+	// No health probe fires during the test: a probe that timed out
+	// under a loaded host would demote the held worker and re-home its
+	// backlog onto the fast worker, leaving nothing to steal.
+	co, fc := newFleet(t, fleet.Config{Workers: addrs, ChunkSize: 1, HealthInterval: time.Hour})
 
-	st := runSweep(t, fc, specs)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sub, err := fc.Submit(ctx, specs)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	// Submit shards every spec before it returns and no unit can finish
+	// yet, so queue plus in-flight is each worker's whole shard.
+	shard := map[string]int{}
+	for _, w := range co.Workers() {
+		shard[w.Addr] = w.Queue + w.Inflight
+	}
+	slow, fast := addrs[0], addrs[1]
+	if shard[fast] > shard[slow] {
+		slow, fast = fast, slow
+	}
+	close(gates[fast].release)
+	for drained := false; !drained; {
+		queue := map[string]int{}
+		for _, w := range co.Workers() {
+			queue[w.Addr] = w.Queue
+		}
+		drained = queue[fast] == 0 && queue[slow] < 2
+		select {
+		case <-ctx.Done():
+			t.Fatalf("fast worker never drained its shard: shards %v, queues %v", shard, queue)
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	close(gates[slow].release)
+	st, err := fc.Wait(ctx, sub.JobID)
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
 	if st.State != api.StateDone || st.Done != len(specs) {
 		t.Fatalf("fleet job state %s done %d/%d", st.State, st.Done, st.Total)
 	}
@@ -355,7 +390,6 @@ func TestFleetWorkSteal(t *testing.T) {
 			t.Errorf("result %d errored: %s", i, r.Error)
 		}
 	}
-	ctx := context.Background()
 	m, err := fc.Metrics(ctx)
 	if err != nil {
 		t.Fatalf("Metrics: %v", err)

@@ -17,6 +17,12 @@ type job struct {
 	wire []api.Spec // validated wire specs, submit order
 	keys []string   // canonical keys, aligned with wire
 
+	// announce makes completing a unit and publishing its spec_done
+	// event one step (Coordinator.completeUnit), so a job's spec_done
+	// events carry increasing Done counts in stream order even when two
+	// workers finish at once.
+	announce sync.Mutex
+
 	mu        sync.Mutex
 	state     string
 	submitted time.Time

@@ -599,12 +599,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
 		return
 	}
-	admitted := false
-	select {
-	case s.queue <- j:
+	// job_queued is published before the send: once the job is on the
+	// queue a worker may publish its job_start at any moment. This is
+	// the queue's only sender and it holds s.mu, so a free slot seen
+	// here is still free for the send.
+	admitted := len(s.queue) < cap(s.queue)
+	if admitted {
 		s.jobs[j.id] = j
-		admitted = true
-	default:
+		s.hub.Publish(events.Event{Type: events.TypeJobQueued, Job: j.id, Specs: len(specs)})
+		s.queue <- j
 	}
 	s.mu.Unlock()
 
@@ -620,7 +623,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobsSubmitted.Add(1)
-	s.hub.Publish(events.Event{Type: events.TypeJobQueued, Job: j.id, Specs: len(specs)})
 	s.log.Info("job submitted", "job_id", j.id, "specs", len(specs))
 	writeJSON(w, http.StatusAccepted, api.SubmitResponse{JobID: j.id, Total: len(specs)})
 }

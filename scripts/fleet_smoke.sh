@@ -4,12 +4,19 @@
 # through the coordinator, then assertions on ring membership and the
 # aggregated /metrics exposition. CI runs this to prove the binaries
 # compose outside the Go test harness.
+#
+#   ./scripts/fleet_smoke.sh [EVENTS_OUT]
+#
+# The fleet event stream is captured to EVENTS_OUT when given (CI keeps
+# it as an artifact), else to a temporary file removed on exit; the
+# checkout is never written.
 set -euo pipefail
 
 COORD=127.0.0.1:18370
 W1=127.0.0.1:18371
 W2=127.0.0.1:18372
 DIR=$(mktemp -d)
+EVENTS_OUT=${1:-$DIR/events.ndjson}
 PIDS=()
 
 cleanup() {
@@ -54,9 +61,8 @@ echo "== ring has two healthy workers"
 
 echo "== tailing the fleet event bus"
 # A headless subscriber captures the whole run's lifecycle + telemetry
-# stream and asserts queued -> start -> done ordering per job. The
-# archive lands in the repo cwd (not $DIR) so CI can keep it.
-"$DIR/msrtail" -addr "$COORD" -assert-order -out EVENTS_PR9.ndjson &
+# stream and asserts queued -> start -> done ordering per job.
+"$DIR/msrtail" -addr "$COORD" -assert-order -out "$EVENTS_OUT" &
 TAIL_PID=$!
 PIDS+=($TAIL_PID)
 subscriber_attached() {
@@ -144,12 +150,12 @@ if ! wait "$TAIL_PID"; then
   echo "msrtail reported order violations or a broken stream" >&2; exit 1
 fi
 for TYPE in job_queued job_start spec_dispatched spec_done job_done interval; do
-  grep -q '"type":"'"$TYPE"'"' EVENTS_PR9.ndjson || {
+  grep -q '"type":"'"$TYPE"'"' "$EVENTS_OUT" || {
     echo "event archive carries no $TYPE events" >&2; exit 1; }
 done
-grep -q '"worker":"http://'"$W1"'"\|"worker":"http://'"$W2"'"' EVENTS_PR9.ndjson || {
+grep -q '"worker":"http://'"$W1"'"\|"worker":"http://'"$W2"'"' "$EVENTS_OUT" || {
   echo "event archive carries no worker labels" >&2; exit 1; }
-EVENTS=$(wc -l < EVENTS_PR9.ndjson)
+EVENTS=$(wc -l < "$EVENTS_OUT")
 echo "== event archive OK ($EVENTS frames)"
 
 echo "== fleet smoke OK (fleet-wide cache hits: $HITS)"
